@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test smoke soak bench bench-smoke compare-smoke check-mcheck fuzz-smoke fuzz clean
+.PHONY: check vet build test simbench-test smoke soak bench bench-smoke compare-smoke check-mcheck fuzz-smoke fuzz clean
 
-check: vet build test smoke
+check: vet build test simbench-test smoke
 
 vet:
 	$(GO) vet ./...
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# simbench is its own Go module (it replaces pccsim with the parent
+# directory), so `go build ./...` and `go test ./...` at the root never
+# compile it. This target catches a root change that breaks it.
+simbench-test:
+	cd simbench && $(GO) vet ./... && $(GO) test ./...
 
 # A fast end-to-end run of the benchmark CLI on the worker pool.
 smoke:

@@ -47,7 +47,6 @@ func main() {
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "engine shards per simulated machine (0 = single engine)")
 	deterministic := fs.Bool("deterministic", false, "with -shards: serial round-robin shard scheduler (bit-for-bit reference mode)")
-	adaptive := fs.Bool("adaptive-windows", false, "with -shards: widen conservative windows while no cross-shard traffic is in flight (identical results, fewer barriers)")
 	progress := fs.Bool("progress", false, "report per-cell start/finish on stderr")
 	format := fs.String("format", "table", "output format: table|csv|json (csv supports "+joinList(csvExperiments)+"; json runs everything)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -102,7 +101,7 @@ func main() {
 
 	opts := harness.Options{
 		Nodes: *nodes, Scale: *scale, Iters: *iters, Parallel: *parallel,
-		Shards: *shards, Deterministic: *deterministic, AdaptiveWindows: *adaptive,
+		Shards: *shards, Deterministic: *deterministic,
 	}
 	if *progress {
 		opts.Progress = progressPrinter()

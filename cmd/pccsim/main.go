@@ -56,7 +56,6 @@ func main() {
 	check := fs.Bool("check", false, "enable runtime coherence invariant checks")
 	shards := fs.Int("shards", 0, "engine shards (0 = single engine; >1 runs the parallel scheduler)")
 	deterministic := fs.Bool("deterministic", false, "with -shards: serial round-robin shard scheduler")
-	adaptive := fs.Bool("adaptive-windows", false, "with -shards: widen conservative windows while no cross-shard traffic is in flight (identical results, fewer barriers)")
 	traceN := fs.Int("trace", 0, "dump the last N coherence messages after the run")
 	traceLine := fs.Uint64("trace-line", 0, "restrict tracing to one line address")
 	if err := cli.Parse(fs, os.Args[1:]); err != nil {
@@ -77,9 +76,6 @@ func main() {
 		cfg = cfg.With(pccsim.WithDeterministicShards(*shards))
 	} else {
 		cfg = cfg.With(pccsim.WithShards(*shards))
-	}
-	if *adaptive {
-		cfg = cfg.With(pccsim.WithAdaptiveWindows())
 	}
 
 	var rec *pccsim.TraceRecorder

@@ -23,7 +23,7 @@ import (
 // set of duplicate-heavy job specs, and the test asserts the service
 // contract — every job completes, duplicate submissions are memoized
 // and byte-identical, an HTTP result matches the equivalent CLI run
-// byte for byte (including under -shards -adaptive-windows), and a
+// byte for byte (including under -shards), and a
 // SIGTERM drains gracefully without dropping accepted jobs.
 //
 // Opt-in (it builds and forks the real binary): set PCCSIM_SOAK=1.
@@ -99,17 +99,17 @@ func TestSoak(t *testing.T) {
 	}()
 
 	// Four distinct specs across k*4 jobs guarantees heavy duplication.
-	// One spec runs sharded with adaptive windows: the determinism
-	// contract explicitly covers the parallel scheduler.
+	// One spec runs sharded: the determinism contract explicitly covers
+	// the parallel scheduler.
 	specs := []string{
 		`{"workload":"em3d","nodes":8,"scale":1,"iters":2}`,
-		`{"workload":"em3d","nodes":16,"scale":1,"iters":2,"shards":4,"adaptive_windows":true}`,
+		`{"workload":"em3d","nodes":16,"scale":1,"iters":2,"shards":4}`,
 		`{"workload":"mg","nodes":8,"scale":1}`,
 		`{"workload":"cg","nodes":8,"scale":1}`,
 	}
 	cliEquiv := map[int][]string{
 		0: {"-workload", "em3d", "-nodes", "8", "-scale", "1", "-iters", "2"},
-		1: {"-workload", "em3d", "-nodes", "16", "-scale", "1", "-iters", "2", "-shards", "4", "-adaptive-windows"},
+		1: {"-workload", "em3d", "-nodes", "16", "-scale", "1", "-iters", "2", "-shards", "4"},
 	}
 
 	const jobsPerClient = 4

@@ -131,18 +131,6 @@ type Config struct {
 	// results identical to the parallel mode at the same shard count.
 	// Ignored when Shards <= 1.
 	ShardsParallel bool
-
-	// AdaptiveWindows lets the sharded schedulers widen the conservative
-	// window beyond the fixed network lookahead while no cross-shard
-	// traffic is in flight: quiet barriers double the allowance, any
-	// drained traffic resets it. Per-shard deadlines stay bounded by the
-	// earliest possible cross-shard arrival, so event timing — and the
-	// serial ≡ parallel guarantee — is unchanged; only the barrier count
-	// drops. Growth additionally requires BarrierLatency >= lookahead-1
-	// and is suppressed when EnableUpdates is set (the cross-shard update
-	// staging re-prices deliveries against the producer's progress, which
-	// wider windows would shift). Ignored when Shards <= 1.
-	AdaptiveWindows bool
 }
 
 // NoIntervention is an InterventionDelay value that disables the delayed
@@ -255,33 +243,11 @@ func WithDeterministicShards(n int) Option {
 	}
 }
 
-// WithAdaptiveWindows lets a sharded run widen its conservative windows
-// while no cross-shard traffic is in flight (see Config.AdaptiveWindows).
-// A no-op without WithShards/WithDeterministicShards.
-func WithAdaptiveWindows() Option {
-	return func(c *Config) { c.AdaptiveWindows = true }
-}
-
 // With returns a copy of c with the options applied, in order.
 func (c Config) With(opts ...Option) Config {
 	for _, o := range opts {
 		o(&c)
 	}
-	return c
-}
-
-// WithMechanisms returns a copy of c with the paper's mechanisms sized as
-// given: racBytes of RAC, delegateEntries of delegate cache, and updates
-// enabled if both are nonzero. This is the configuration axis of Figure 7.
-//
-// Deprecated: the positional triple is easy to misread. Use the
-// functional options instead:
-//
-//	cfg.With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
-func (c Config) WithMechanisms(racBytes, delegateEntries int, updates bool) Config {
-	c.RACBytes = racBytes
-	c.DelegateEntries = delegateEntries
-	c.EnableUpdates = updates && racBytes > 0 && delegateEntries > 0
 	return c
 }
 

@@ -82,7 +82,7 @@ func TestSelfInvalidateConverts3HopTo2Hop(t *testing.T) {
 }
 
 func TestSelfInvalidateExclusiveWithMechanisms(t *testing.T) {
-	cfg := DefaultConfig().WithMechanisms(32*1024, 32, true)
+	cfg := DefaultConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.SelfInvalidate = true
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("self-invalidation combined with delegation accepted")

@@ -91,12 +91,6 @@ type xcall struct {
 	addr msg.Addr
 }
 
-// adaptiveAllowanceCap bounds the adaptive window allowance to this many
-// lookaheads (Config.AdaptiveWindows): ten quiet barriers of doubling
-// reach it. Beyond the cap wider windows stop helping — the remaining
-// barrier rate is set by actual traffic, not by the allowance.
-const adaptiveAllowanceCap = 1024
-
 // NewSystem builds a machine from cfg. With cfg.Shards > 1 the machine
 // is partitioned into contiguous node groups, each with a private event
 // engine, synchronized through conservative time windows; see the
@@ -121,15 +115,6 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		look := network.MinLookahead(cfg.Network, sys.shardOf)
 		sys.grp = sim.NewGroup(n, look, cfg.ShardsParallel)
-		if cfg.AdaptiveWindows && cfg.BarrierLatency >= look-1 && !cfg.EnableUpdates {
-			// Safe to grow: every cross-shard channel then respects the
-			// per-shard deadline bound (see Config.AdaptiveWindows). The
-			// allowance cap only bounds how far a lone straggler shard
-			// runs between barriers; 1024 lookaheads (~200k cycles at the
-			// default radix) dwarfs the longest compute block in the
-			// bundled workloads.
-			sys.grp.SetAdaptive(look * adaptiveAllowanceCap)
-		}
 		sys.netStats = make([]*stats.Stats, n)
 		sys.shards = make([]*shardState, n)
 		for i := 0; i < n; i++ {

@@ -16,7 +16,7 @@ func TestWideFuzz(t *testing.T) {
 		last = 110
 	}
 	for seed := int64(100); seed < last; seed++ {
-		cfg := testConfig().WithMechanisms(2*1024, 8, true)
+		cfg := testConfig().With(WithRAC(2), WithDelegation(8), WithSpeculativeUpdates(0))
 		cfg.Nodes = 6
 		cfg.L2Bytes = 4 * 128
 		cfg.L2Ways = 2

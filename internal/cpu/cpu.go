@@ -78,12 +78,9 @@ type BarrierSet struct {
 
 	// Sharded mode: engFor maps a core to its shard's engine (nil on a
 	// single engine); mu guards bars and releases between shards.
-	// onComplete, if set, runs inside the arrival that completes a
-	// barrier (see SetOnComplete).
-	engFor     func(msg.NodeID) *sim.Engine
-	mu         sync.Mutex
-	releases   []release
-	onComplete func(core msg.NodeID)
+	engFor   func(msg.NodeID) *sim.Engine
+	mu       sync.Mutex
+	releases []release
 }
 
 type barrier struct {
@@ -163,20 +160,7 @@ func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
 	}
 	s.releases = append(s.releases, release{id: id, at: b.maxAt, waiters: b.waiters})
 	b.arrived, b.maxAt, b.waiters = 0, 0, nil
-	if s.onComplete != nil {
-		s.onComplete(core)
-	}
 }
-
-// SetOnComplete registers fn to run, in sharded mode, inside the Arrive
-// call that completes a barrier, with core the last-arriving party. It
-// executes on that core's shard goroutine while s.mu is held, so fn must
-// be cheap and touch only that shard's state. The adaptive scheduler uses
-// it to cut the completing shard's window: the release Flush will
-// schedule lands at the last arrival time plus the barrier latency, and
-// only the shard that executed the completing arrival could run past that
-// instant before the next window barrier.
-func (s *BarrierSet) SetOnComplete(fn func(core msg.NodeID)) { s.onComplete = fn }
 
 // Flush schedules the resumes of every barrier completed during the last
 // window. It must run at a window barrier (no shard executing); a core's

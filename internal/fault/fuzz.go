@@ -47,11 +47,6 @@ type Machine struct {
 	// never omitted from JSON so every committed repro states its mode.
 	Shards   int  `json:"shards"`
 	Parallel bool `json:"parallel,omitempty"`
-	// AdaptiveWindows widens the sharded schedulers' conservative
-	// windows between quiet barriers. Results are identical with it on
-	// or off, but it is still part of the repro so a scheduler bug in
-	// the growth machinery itself replays faithfully.
-	AdaptiveWindows bool `json:"adaptive_windows,omitempty"`
 
 	// InterventionDelay in cycles (0 = the protocol default of 50);
 	// NoIntervention disables the delayed intervention entirely.
@@ -209,7 +204,6 @@ func (c *Case) BuildConfig() core.Config {
 	}
 	cfg.Shards = m.Shards
 	cfg.ShardsParallel = m.Parallel && m.Shards > 1
-	cfg.AdaptiveWindows = m.AdaptiveWindows
 	cfg.CheckInvariants = true
 	cfg.WatchdogSteps = c.watchdogSteps()
 	return cfg

@@ -117,10 +117,6 @@ func genMachine(rng *rand.Rand, opts GenOpts) Machine {
 		}
 		m.Shards = 2 + rng.Intn(maxShards-1)
 		m.Parallel = rng.Intn(2) == 0
-		// Half the sharded cases run with adaptive windows, so the
-		// window-growth bookkeeping faces the same chaos schedules as
-		// the fixed scheduler.
-		m.AdaptiveWindows = rng.Intn(2) == 0
 	}
 	return m
 }

@@ -54,7 +54,7 @@ func TestPrefetchStreamReplays(t *testing.T) {
 // driving lazy streams.
 func TestLazyStreamShardEquivalence(t *testing.T) {
 	wl, _ := workload.ByName("em3d")
-	cfg := wideConfig(16, 4, false, false)
+	cfg := wideConfig(16, 4, false)
 	ops := wl.Build(workload.Params{Nodes: cfg.Nodes, Iters: 1})
 
 	run := func(lazy, parallel bool) interface{} {

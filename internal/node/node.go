@@ -54,16 +54,6 @@ func New(cfg core.Config, opts ...Option) (*Machine, error) {
 		// completed barriers release at the group's window boundaries.
 		m.Bars = cpu.NewShardedBarrierSet(sys.EngFor, cfg.Nodes, cfg.BarrierLatency)
 		sys.Group().OnBarrier(m.Bars.Flush)
-		if sys.Group().Adaptive() {
-			// Barrier releases land at the last arrival time plus the
-			// barrier latency. Under a grown window the one shard that
-			// could outrun that instant is the shard executing the
-			// completing arrival itself, so cut its window there; every
-			// other shard is held back by the per-shard deadline bound.
-			m.Bars.SetOnComplete(func(core msg.NodeID) {
-				sys.EngFor(core).CutWindow()
-			})
-		}
 	} else {
 		m.Bars = cpu.NewBarrierSet(sys.Eng, cfg.Nodes, cfg.BarrierLatency)
 	}

@@ -36,8 +36,8 @@ func runMachine(t *testing.T, wl *workload.Workload, cfg core.Config) (*stats.St
 }
 
 // runSharded executes one workload on a fresh machine with the given
-// shard configuration and returns the aggregated stats.
-func runSharded(t *testing.T, wl *workload.Workload, shards int, parallel bool) *stats.Stats {
+// shard configuration and returns the aggregated stats and window count.
+func runSharded(t *testing.T, wl *workload.Workload, shards int, parallel bool) (*stats.Stats, uint64) {
 	t.Helper()
 	cfg := core.DefaultConfig().With(
 		core.WithRAC(32), core.WithDelegation(32), core.WithSpeculativeUpdates(0))
@@ -45,14 +45,14 @@ func runSharded(t *testing.T, wl *workload.Workload, shards int, parallel bool) 
 	cfg.WatchdogSteps = 50_000_000
 	cfg.Shards = shards
 	cfg.ShardsParallel = parallel
-	st, _ := runMachine(t, wl, cfg)
-	return st
+	return runMachine(t, wl, cfg)
 }
 
 // TestShardEquivalenceAllWorkloads asserts the acceptance property of the
 // sharded engine: for every workload and every shard count, the parallel
 // scheduler's end-state Stats are identical to the deterministic serial
-// scheduler's — same misses, same messages, same cycles, everything.
+// scheduler's — same misses, same messages, same cycles, everything —
+// and both dispatch the same number of conservative windows.
 func TestShardEquivalenceAllWorkloads(t *testing.T) {
 	shardCounts := []int{2, 4, 8}
 	if testing.Short() {
@@ -63,11 +63,15 @@ func TestShardEquivalenceAllWorkloads(t *testing.T) {
 		t.Run(wl.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, shards := range shardCounts {
-				det := runSharded(t, wl, shards, false)
-				fast := runSharded(t, wl, shards, true)
+				det, detWin := runSharded(t, wl, shards, false)
+				fast, fastWin := runSharded(t, wl, shards, true)
 				if !reflect.DeepEqual(det, fast) {
 					t.Errorf("%s at %d shards: parallel stats diverge from deterministic\nserial:   %+v\nparallel: %+v",
 						wl.Name, shards, det, fast)
+				}
+				if detWin != fastWin {
+					t.Errorf("%s at %d shards: window count differs: serial %d, parallel %d",
+						wl.Name, shards, detWin, fastWin)
 				}
 			}
 		})
@@ -84,17 +88,14 @@ func TestShardedSmoke(t *testing.T) {
 	}
 }
 
-// wideConfig is the 128-node delegation-only machine the wide-vector and
-// adaptive-window tests run on (updates stay off: cross-shard update
-// staging suppresses window growth by design).
-func wideConfig(nodes, shards int, parallel, adaptive bool) core.Config {
+// wideConfig is the delegation-only machine the wide-vector tests run on.
+func wideConfig(nodes, shards int, parallel bool) core.Config {
 	cfg := core.DefaultConfig().With(core.WithRAC(32), core.WithDelegation(32))
 	cfg.Nodes = nodes
 	cfg.CheckInvariants = true
 	cfg.WatchdogSteps = 200_000_000
 	cfg.Shards = shards
 	cfg.ShardsParallel = parallel
-	cfg.AdaptiveWindows = adaptive
 	return cfg
 }
 
@@ -111,8 +112,8 @@ func TestShardEquivalence128Nodes(t *testing.T) {
 		t.Run(wl.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, shards := range shardCounts {
-				det, _ := runMachine(t, wl, wideConfig(128, shards, false, false))
-				fast, _ := runMachine(t, wl, wideConfig(128, shards, true, false))
+				det, _ := runMachine(t, wl, wideConfig(128, shards, false))
+				fast, _ := runMachine(t, wl, wideConfig(128, shards, true))
 				if !reflect.DeepEqual(det, fast) {
 					t.Errorf("%s at 128 nodes, %d shards: parallel stats diverge from deterministic",
 						wl.Name, shards)
@@ -123,46 +124,12 @@ func TestShardEquivalence128Nodes(t *testing.T) {
 }
 
 // TestWideSmoke256 runs the full vector width: a 256-node machine (all
-// four words of msg.Vector populated) under the parallel adaptive
-// scheduler, quiesce-checked by Run.
+// four words of msg.Vector populated) under the parallel scheduler,
+// quiesce-checked by Run.
 func TestWideSmoke256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node run is long; run without -short")
 	}
 	wl, _ := workload.ByName("em3d")
-	runMachine(t, wl, wideConfig(256, 16, true, true))
-}
-
-// TestAdaptiveWindowsEquivalence asserts the adaptive scheduler's
-// contract: identical end-state stats to the fixed-window scheduler
-// (growth may only remove barriers, never reorder or retime events), in
-// both serial and parallel modes, with a strictly lower window count on
-// the barrier-heavy workload the optimization targets.
-func TestAdaptiveWindowsEquivalence(t *testing.T) {
-	for _, wl := range workload.All() {
-		wl := wl
-		t.Run(wl.Name, func(t *testing.T) {
-			t.Parallel()
-			fixed, fixedWin := runMachine(t, wl, wideConfig(16, 4, false, false))
-			adapt, adaptWin := runMachine(t, wl, wideConfig(16, 4, false, true))
-			if !reflect.DeepEqual(fixed, adapt) {
-				t.Errorf("%s: adaptive windows drift from fixed windows\nfixed:    %+v\nadaptive: %+v",
-					wl.Name, fixed, adapt)
-			}
-			if adaptWin > fixedWin {
-				t.Errorf("%s: adaptive dispatched more windows (%d) than fixed (%d)",
-					wl.Name, adaptWin, fixedWin)
-			}
-			par, parWin := runMachine(t, wl, wideConfig(16, 4, true, true))
-			if !reflect.DeepEqual(adapt, par) {
-				t.Errorf("%s: adaptive parallel stats diverge from adaptive serial", wl.Name)
-			}
-			if parWin != adaptWin {
-				t.Errorf("%s: adaptive window count differs: serial %d, parallel %d", wl.Name, adaptWin, parWin)
-			}
-			if wl.Name == "em3d" && adaptWin >= fixedWin {
-				t.Errorf("em3d: adaptive windows did not reduce barriers: %d >= %d", adaptWin, fixedWin)
-			}
-		})
-	}
+	runMachine(t, wl, wideConfig(256, 16, true))
 }

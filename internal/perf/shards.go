@@ -33,11 +33,8 @@ type ShardReport struct {
 // baseline its row's speedups are relative to. StatsMatch reports whether
 // the parallel scheduler's end-state Stats equalled the deterministic
 // serial scheduler's at the same shard count — the correctness gate that
-// licenses trusting the fast mode's numbers at all. The Adaptive* columns
-// re-run the cell with adaptive conservative windows: AdaptiveMatch must
-// hold (adaptation only removes barriers, never retimes events) and
-// Windows vs AdaptiveWindows is the barrier count the optimization
-// removed.
+// licenses trusting the fast mode's numbers at all. Windows is the number
+// of conservative windows (coordinator barriers) the run dispatched.
 type ShardCell struct {
 	Nodes       int     `json:"nodes"`
 	Shards      int     `json:"shards"`
@@ -47,11 +44,7 @@ type ShardCell struct {
 	NsPerEvent  float64 `json:"ns_per_event"`
 	Speedup     float64 `json:"speedup_vs_1shard,omitempty"`
 	StatsMatch  bool    `json:"stats_match_deterministic"`
-
-	Windows            uint64  `json:"windows,omitempty"`
-	AdaptiveWindows    uint64  `json:"adaptive_windows,omitempty"`
-	AdaptiveNsPerEvent float64 `json:"adaptive_ns_per_event,omitempty"`
-	AdaptiveMatch      bool    `json:"adaptive_stats_match,omitempty"`
+	Windows     uint64  `json:"windows,omitempty"`
 }
 
 // SweepNodeCounts and SweepShardCounts are the full scaling grid the
@@ -60,16 +53,14 @@ func SweepNodeCounts() []int  { return []int{16, 32, 64, 128, 256} }
 func SweepShardCounts() []int { return []int{1, 2, 4, 8, 16} }
 
 // shardRun executes the sweep workload once on a machine with the given
-// shard configuration; the returned stats feed the serial/parallel and
-// adaptive/fixed match checks, the event count and wall time feed the
-// throughput columns, and the window count feeds the barrier-overhead
-// column.
-func shardRun(nodes, shards int, parallel, adaptive bool) (*stats.Stats, uint64, uint64, time.Duration, error) {
+// shard configuration; the returned stats feed the serial/parallel match
+// check, the event count and wall time feed the throughput columns, and
+// the window count feeds the barrier-overhead column.
+func shardRun(nodes, shards int, parallel bool) (*stats.Stats, uint64, uint64, time.Duration, error) {
 	cfg := core.DefaultConfig().With(core.WithRAC(32), core.WithDelegation(32))
 	cfg.Nodes = nodes
 	cfg.Shards = shards
 	cfg.ShardsParallel = parallel && shards > 1
-	cfg.AdaptiveWindows = adaptive
 	m, err := node.New(cfg)
 	if err != nil {
 		return nil, 0, 0, 0, err
@@ -99,10 +90,8 @@ func shardRun(nodes, shards int, parallel, adaptive bool) (*stats.Stats, uint64,
 // RunShardSweep measures em3d across the node-count × shard-count grid
 // and returns the scaling report, logging one line per cell to log (nil =
 // quiet). Node counts run up to msg.MaxNodes (256): the sharing vector is
-// a four-word full map. Each multi-shard cell is measured three ways —
-// parallel fixed-window (the headline numbers), serial fixed-window (the
-// stats-match reference) and parallel adaptive (the barrier-reduction
-// columns).
+// a four-word full map. Each multi-shard cell is measured twice: parallel
+// (the headline numbers) and serial (the stats-match reference).
 func RunShardSweep(nodeCounts, shardCounts []int, log io.Writer) (*ShardReport, error) {
 	if log == nil {
 		log = io.Discard
@@ -120,7 +109,7 @@ func RunShardSweep(nodeCounts, shardCounts []int, log io.Writer) (*ShardReport, 
 				continue
 			}
 			parallel := sh > 1
-			st, events, windows, wall, err := shardRun(n, sh, parallel, false)
+			st, events, windows, wall, err := shardRun(n, sh, parallel)
 			if err != nil {
 				return nil, fmt.Errorf("nodes=%d shards=%d: %w", n, sh, err)
 			}
@@ -138,22 +127,15 @@ func RunShardSweep(nodeCounts, shardCounts []int, log io.Writer) (*ShardReport, 
 				if baseWall > 0 {
 					cell.Speedup = baseWall.Seconds() / wall.Seconds()
 				}
-				det, _, _, _, err := shardRun(n, sh, false, false)
+				det, _, _, _, err := shardRun(n, sh, false)
 				if err != nil {
 					return nil, fmt.Errorf("nodes=%d shards=%d serial: %w", n, sh, err)
 				}
 				cell.StatsMatch = reflect.DeepEqual(st, det)
-				ast, aevents, awindows, awall, err := shardRun(n, sh, parallel, true)
-				if err != nil {
-					return nil, fmt.Errorf("nodes=%d shards=%d adaptive: %w", n, sh, err)
-				}
-				cell.AdaptiveWindows = awindows
-				cell.AdaptiveNsPerEvent = float64(awall.Nanoseconds()) / float64(aevents)
-				cell.AdaptiveMatch = reflect.DeepEqual(st, ast)
 			}
-			fmt.Fprintf(log, "pccperf: shards nodes=%-3d shards=%-2d %9d events in %-10v %6.1f ns/ev speedup=%.2f match=%v windows=%d adaptive=%d amatch=%v\n",
+			fmt.Fprintf(log, "pccperf: shards nodes=%-3d shards=%-2d %9d events in %-10v %6.1f ns/ev speedup=%.2f match=%v windows=%d\n",
 				n, sh, cell.Events, wall.Round(time.Millisecond), cell.NsPerEvent, cell.Speedup,
-				cell.StatsMatch, cell.Windows, cell.AdaptiveWindows, cell.AdaptiveMatch)
+				cell.StatsMatch, cell.Windows)
 			rep.Cells = append(rep.Cells, cell)
 		}
 	}
@@ -162,9 +144,8 @@ func RunShardSweep(nodeCounts, shardCounts []int, log io.Writer) (*ShardReport, 
 
 // CheckShards is the sharded-engine gate for bench-smoke: a reduced sweep
 // (16 nodes at 1 and 4 shards) whose parallel stats MUST match the
-// deterministic scheduler's, whose adaptive stats MUST match the fixed-
-// window scheduler's, and whose ns/event must stay within the tolerance
-// factor of the committed baseline's matching cell. Speedup is
+// deterministic scheduler's, and whose ns/event must stay within the
+// tolerance factor of the committed baseline's matching cell. Speedup is
 // informational: it gates nothing unless the host actually has cores to
 // parallelize over, and even then only warns — wall-clock scaling claims
 // belong in the BENCH baseline with the CPU count attached, not in a CI
@@ -203,15 +184,6 @@ func CheckShards(path string, tol float64, log io.Writer) bool {
 		name := fmt.Sprintf("shards-%dn%ds", c.Nodes, c.Shards)
 		if !c.StatsMatch {
 			fmt.Fprintf(log, "pccperf: check %-16s FAIL: parallel stats diverge from deterministic\n", name)
-			ok = false
-		}
-		if c.Shards > 1 && !c.AdaptiveMatch {
-			fmt.Fprintf(log, "pccperf: check %-16s FAIL: adaptive-window stats diverge from fixed-window\n", name)
-			ok = false
-		}
-		if c.Shards > 1 && c.AdaptiveWindows >= c.Windows {
-			fmt.Fprintf(log, "pccperf: check %-16s FAIL: adaptive windows %d did not reduce the fixed count %d\n",
-				name, c.AdaptiveWindows, c.Windows)
 			ok = false
 		}
 		if want := baseNs(c.Nodes, c.Shards); want <= 0 {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,21 +116,20 @@ func (j *Job) status() Status {
 // job body and a command line describe the same cell. Delay and Hop are
 // pointers because 0 is a meaningful override (nil = the CLI default).
 type runSpec struct {
-	Kind            string  `json:"kind"`
-	Workload        string  `json:"workload"`
-	Protocol        string  `json:"protocol"`
-	Nodes           int     `json:"nodes"`
-	Scale           int     `json:"scale"`
-	Iters           int     `json:"iters"`
-	RAC             int     `json:"rac"`
-	Deledc          int     `json:"deledc"`
-	Updates         bool    `json:"updates"`
-	Delay           *uint64 `json:"delay"`
-	Hop             *uint64 `json:"hop"`
-	Check           bool    `json:"check"`
-	Shards          int     `json:"shards"`
-	Deterministic   bool    `json:"deterministic"`
-	AdaptiveWindows bool    `json:"adaptive_windows"`
+	Kind          string  `json:"kind"`
+	Workload      string  `json:"workload"`
+	Protocol      string  `json:"protocol"`
+	Nodes         int     `json:"nodes"`
+	Scale         int     `json:"scale"`
+	Iters         int     `json:"iters"`
+	RAC           int     `json:"rac"`
+	Deledc        int     `json:"deledc"`
+	Updates       bool    `json:"updates"`
+	Delay         *uint64 `json:"delay"`
+	Hop           *uint64 `json:"hop"`
+	Check         bool    `json:"check"`
+	Shards        int     `json:"shards"`
+	Deterministic bool    `json:"deterministic"`
 }
 
 // build produces exactly the configuration the pccsim CLI would build for
@@ -168,9 +169,6 @@ func (sp *runSpec) build() (*runCell, error) {
 		cfg = cfg.With(core.WithDeterministicShards(sp.Shards))
 	} else {
 		cfg = cfg.With(core.WithShards(sp.Shards))
-	}
-	if sp.AdaptiveWindows {
-		cfg = cfg.With(core.WithAdaptiveWindows())
 	}
 	// Full config validation here means an unknown protocol name or a
 	// mechanism the protocol can't honor is a 400 at submission, not a
@@ -221,14 +219,33 @@ func (s *Server) execRun(j *Job, sp *runSpec) error {
 // experimentSpec selects one harness experiment; rendered as the same CSV
 // bytes pccbench writes.
 type experimentSpec struct {
-	Kind            string `json:"kind"`
-	Exp             string `json:"exp"`
-	Nodes           int    `json:"nodes"`
-	Scale           int    `json:"scale"`
-	Iters           int    `json:"iters"`
-	Shards          int    `json:"shards"`
-	Deterministic   bool   `json:"deterministic"`
-	AdaptiveWindows bool   `json:"adaptive_windows"`
+	Kind          string `json:"kind"`
+	Exp           string `json:"exp"`
+	Nodes         int    `json:"nodes"`
+	Scale         int    `json:"scale"`
+	Iters         int    `json:"iters"`
+	Shards        int    `json:"shards"`
+	Deterministic bool   `json:"deterministic"`
+}
+
+// experiments names the harness experiments a job can run.
+var experiments = []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3", "ablation"}
+
+// check applies the pccbench defaults and validates what is known before
+// any cell runs: the experiment name and the node and shard bounds.
+func (sp *experimentSpec) check() error {
+	if sp.Nodes == 0 {
+		sp.Nodes = 16
+	}
+	if sp.Scale == 0 {
+		sp.Scale = 1
+	}
+	if !slices.Contains(experiments, sp.Exp) {
+		return fmt.Errorf("unknown experiment %q (%s)", sp.Exp, strings.Join(experiments, "|"))
+	}
+	cfg := core.DefaultConfig()
+	cfg.Nodes, cfg.Shards = sp.Nodes, sp.Shards
+	return cfg.Validate()
 }
 
 // execExperiment runs one figure/table through a throwaway Session on the
@@ -237,16 +254,12 @@ type experimentSpec struct {
 // timeout) interrupts the cells currently simulating and skips the rest
 // of the batch instead of letting it run to completion.
 func (s *Server) execExperiment(j *Job, sp *experimentSpec) error {
-	if sp.Nodes == 0 {
-		sp.Nodes = 16
-	}
-	if sp.Scale == 0 {
-		sp.Scale = 1
+	if err := sp.check(); err != nil {
+		return err
 	}
 	sess := harness.NewSessionOn(s.runner, harness.Options{
 		Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters,
 		Shards: sp.Shards, Deterministic: sp.Deterministic,
-		AdaptiveWindows: sp.AdaptiveWindows,
 	}).WithContext(j.ctx)
 	var buf bytes.Buffer
 	var err error
@@ -292,7 +305,7 @@ func (s *Server) execExperiment(j *Job, sp *experimentSpec) error {
 			err = harness.WriteAblationCSV(&buf, rows)
 		}
 	default:
-		return fmt.Errorf("unknown experiment %q (fig7|fig8|fig9|fig10|fig11|fig12|table3|ablation)", sp.Exp)
+		return fmt.Errorf("unknown experiment %q", sp.Exp)
 	}
 	if err != nil {
 		return err

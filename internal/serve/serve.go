@@ -9,7 +9,7 @@
 //
 // Determinism is the API contract: a run job's result body is
 // byte-identical to the equivalent pccsim CLI invocation's stdout,
-// including under -shards and -adaptive-windows, because both paths
+// including under -shards, because both paths
 // build the same core.Config and render through the same
 // harness.WriteRunReport.
 package serve
@@ -196,6 +196,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch sp := spec.(type) {
 	case *runSpec:
 		if _, err := sp.build(); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	case *experimentSpec:
+		if err := sp.check(); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

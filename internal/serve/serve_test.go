@@ -149,6 +149,11 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"unknown protocol":      `{"workload":"em3d","protocol":"mosi"}`,
 		"illegal mechanisms":    `{"workload":"em3d","protocol":"mesi","rac":32768,"deledc":32}`,
 		"unknown fuzz protocol": `{"kind":"fuzz","cases":1,"protocol":"mosi"}`,
+		"unknown experiment":    `{"kind":"experiment","exp":"fig99"}`,
+		"experiment nodes":      `{"kind":"experiment","exp":"fig9","nodes":300}`,
+		"experiment shards":     `{"kind":"experiment","exp":"fig9","nodes":8,"shards":9}`,
+		"negative shards":       `{"kind":"experiment","exp":"fig9","shards":-1}`,
+		"removed window field":  `{"workload":"em3d","shards":2,"adaptive_windows":true}`,
 	} {
 		rr := do(s.Handler(), "POST", "/v1/jobs", "", body)
 		if rr.Code != http.StatusBadRequest {

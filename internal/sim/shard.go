@@ -13,13 +13,6 @@
 // in its past, and a window's execution on shard B is independent of how
 // far shard A has gotten within the same window.
 //
-// Windows may also be adaptive (SetAdaptive): barriers that inject no
-// cross-shard work widen the next window, bounded per shard by one
-// lookahead past the earliest event still pending on any other shard —
-// the same horizon the fixed window enforces — so the event order, and
-// therefore the simulation, is identical; only the number of barriers
-// changes.
-//
 // Two execution modes share this window structure:
 //
 //   - serial (the deterministic reference): the coordinator runs the
@@ -50,16 +43,10 @@ type Group struct {
 	parallel bool
 	hooks    []func()
 
-	// Adaptive conservative windows (see SetAdaptive). allow is the
-	// current window allowance: it equals look until consecutive quiet
-	// barriers grow it, and snaps back to look whenever a barrier injects
-	// cross-shard work. deads holds the per-shard deadlines of the window
-	// being dispatched, reused across windows.
-	adaptive bool
-	maxAllow Time
-	allow    Time
-	windows  uint64
-	deads    []Time
+	// dead is the deadline of the window being dispatched, the same for
+	// every shard; windows counts the windows dispatched so far.
+	dead    Time
+	windows uint64
 
 	// Parallel-run machinery, alive only inside RunGuarded.
 	cmds    []chan windowJob
@@ -115,9 +102,6 @@ func (g *Group) Lookahead() Time { return g.look }
 // Parallel reports whether windows execute on worker goroutines.
 func (g *Group) Parallel() bool { return g.parallel }
 
-// Adaptive reports whether SetAdaptive has enabled window growth.
-func (g *Group) Adaptive() bool { return g.adaptive }
-
 // OnBarrier registers fn to run at every window barrier, before the next
 // window is chosen. Hooks run on the coordinator goroutine with no shard
 // executing, in registration order; they are where cross-shard mailboxes
@@ -125,43 +109,14 @@ func (g *Group) Adaptive() bool { return g.adaptive }
 // any shard's engine.
 func (g *Group) OnBarrier(fn func()) { g.hooks = append(g.hooks, fn) }
 
-// SetAdaptive enables adaptive conservative windows: whenever a window
-// barrier drains no cross-shard traffic (the hooks inject zero events),
-// the next window's allowance doubles, up to maxAllowance; any injection
-// snaps it back to the base lookahead. Compute-heavy phases with no
-// coherence traffic then cross in O(log) barriers instead of one barrier
-// per lookahead.
-//
-// Growth never admits an event out of order: each shard's deadline is
-// additionally capped one lookahead past the earliest event any other
-// shard could still execute (see computeDeadlines), which is exactly the
-// horizon the base protocol's fixed window guarantees. The caller must
-// ensure every cross-shard interaction outside the mailbox protocol —
-// barrier releases, deferred calls — also respects that horizon, or keep
-// adaptation off (see core.Config.AdaptiveWindows for the gating).
-//
-// Call before RunGuarded; a Group with adaptation enabled still runs
-// serial and parallel schedules identically, because the allowance and
-// deadlines are computed on the coordinator from barrier-time state.
-func (g *Group) SetAdaptive(maxAllowance Time) {
-	if maxAllowance < g.look {
-		maxAllowance = g.look
-	}
-	g.adaptive = true
-	g.maxAllow = maxAllowance
-	g.allow = g.look
-}
-
 // SetInterrupt arms the group with a cancellation flag shared with other
 // goroutines: RunGuarded polls it at every window barrier and stops with
 // ErrInterrupted when it is set. nil (the default) disarms the check. The
 // flag never perturbs event order within or across windows.
 func (g *Group) SetInterrupt(flag *atomic.Bool) { g.intr = flag }
 
-// Windows reports how many conservative windows have been dispatched.
-// With adaptive windows enabled this is the direct measure of barrier
-// overhead saved: fewer windows for the same event count means less
-// coordinator synchronization per simulated cycle.
+// Windows reports how many conservative windows have been dispatched:
+// one coordinator barrier each.
 func (g *Group) Windows() uint64 { return g.windows }
 
 // Now reports the simulation clock: the furthest shard's local time.
@@ -262,11 +217,7 @@ func (g *Group) RunUntil(deadline Time) bool {
 		if next > deadline {
 			return false
 		}
-		end := next + g.look - 1
-		if end > deadline {
-			end = deadline
-		}
-		g.setDeadlines(end)
+		g.dead = min(next+g.look-1, deadline)
 		g.windows++
 		g.runWindowSerial(0)
 	}
@@ -286,23 +237,9 @@ func (g *Group) RunGuarded(maxSteps uint64) (Time, error) {
 	var executed uint64
 	for {
 		// Hooks first: they drain cross-shard mailboxes, so a group
-		// whose engines look empty may still have work in flight. The
-		// pending-count delta across the hooks is the barrier's injected
-		// traffic: zero means every shard is working from its own queue,
-		// which is the adaptive scheduler's cue to widen the window.
-		pend := g.Pending()
+		// whose engines look empty may still have work in flight.
 		for _, fn := range g.hooks {
 			fn()
-		}
-		if g.adaptive {
-			if g.Pending() != pend {
-				g.allow = g.look
-			} else if g.allow < g.maxAllow {
-				g.allow *= 2
-				if g.allow > g.maxAllow {
-					g.allow = g.maxAllow
-				}
-			}
 		}
 		next, ok := g.NextAt()
 		if !ok {
@@ -318,7 +255,9 @@ func (g *Group) RunGuarded(maxSteps uint64) (Time, error) {
 		if maxSteps > 0 {
 			budget = maxSteps - executed
 		}
-		g.computeDeadlines(next)
+		// The classic conservative window: no event another shard sends
+		// during it can arrive inside it.
+		g.dead = next + g.look - 1
 		g.windows++
 		// In parallel mode each worker receives the full remaining
 		// budget, so the group can overshoot maxSteps by up to
@@ -326,78 +265,6 @@ func (g *Group) RunGuarded(maxSteps uint64) (Time, error) {
 		// detector, not an exact accountant; the overshoot is bounded
 		// and the next barrier still trips the guard.
 		executed += run(budget)
-	}
-}
-
-// setDeadlines gives every shard the same window deadline (the base,
-// non-adaptive schedule).
-func (g *Group) setDeadlines(deadline Time) {
-	if g.deads == nil {
-		g.deads = make([]Time, len(g.engs))
-	}
-	for i := range g.deads {
-		g.deads[i] = deadline
-	}
-}
-
-// computeDeadlines fills g.deads for the window opening at next (the
-// earliest pending timestamp across shards).
-//
-// Base schedule: every shard gets next+look-1, the classic conservative
-// window — no event another shard sends this window can arrive inside it.
-//
-// Adaptive schedule (allow > look): shard i's deadline is
-//
-//	min(next+allow-1, minOther(i)+look-1)
-//
-// where minOther(i) is the earliest pending timestamp on any other
-// shard. The second term is what makes any allowance sound: a message
-// another shard j sends is stamped no earlier than j's next event, and
-// arrives no earlier than lookahead later, so events up to
-// minOther(i)+look-1 are beyond interference from every other shard no
-// matter how wide their windows are. A lone busy shard (minOther = none)
-// runs to the full allowance — the straggler case adaptation exists for.
-func (g *Group) computeDeadlines(next Time) {
-	if g.deads == nil {
-		g.deads = make([]Time, len(g.engs))
-	}
-	base := next + g.look - 1
-	if !g.adaptive || g.allow <= g.look {
-		for i := range g.deads {
-			g.deads[i] = base
-		}
-		return
-	}
-	// Track the two smallest next-timestamps so minOther(i) is O(1):
-	// it is min1 for every shard except the one holding min1, which
-	// sees min2.
-	const none = ^Time(0)
-	min1, min2 := none, none
-	arg1 := -1
-	for i, e := range g.engs {
-		at, ok := e.NextAt()
-		if !ok {
-			continue
-		}
-		if at < min1 {
-			min1, min2, arg1 = at, min1, i
-		} else if at < min2 {
-			min2 = at
-		}
-	}
-	grown := next + g.allow - 1
-	for i := range g.deads {
-		minOther := min1
-		if i == arg1 {
-			minOther = min2
-		}
-		d := grown
-		if minOther != none {
-			if bound := minOther + g.look - 1; bound < d {
-				d = bound
-			}
-		}
-		g.deads[i] = d
 	}
 }
 
@@ -412,12 +279,11 @@ func (g *Group) runawayError(executed uint64, next Time) error {
 	}
 }
 
-// runWindowSerial executes one window (per-shard deadlines in g.deads)
-// round-robin on the calling goroutine, giving each shard at most the
-// remaining budget.
+// runWindowSerial executes one window (deadline g.dead) round-robin on
+// the calling goroutine, giving each shard at most the remaining budget.
 func (g *Group) runWindowSerial(budget uint64) uint64 {
 	var total uint64
-	for i, e := range g.engs {
+	for _, e := range g.engs {
 		if budget > 0 && total >= budget {
 			break
 		}
@@ -425,7 +291,7 @@ func (g *Group) runWindowSerial(budget uint64) uint64 {
 		if budget > 0 {
 			b = budget - total
 		}
-		total += e.RunWindow(g.deads[i], b)
+		total += e.RunWindow(g.dead, b)
 	}
 	return total
 }
@@ -471,17 +337,16 @@ func runWindowCatch(e *Engine, job windowJob) (steps uint64, pan any) {
 	return e.RunWindow(job.deadline, job.budget), nil
 }
 
-// runWindowParallel dispatches the window (per-shard deadlines in
-// g.deads) to every shard that has work inside it and waits for all of
-// them. If any shard panicked, the lowest-numbered shard's panic is
+// runWindowParallel dispatches the window (deadline g.dead) to every
+// shard that has work inside it and waits for all of them. If any shard panicked, the lowest-numbered shard's panic is
 // re-raised — a deterministic choice, so a failure reproduces identically
 // under the serial scheduler (which reaches the lowest shard's panic
 // first by construction).
 func (g *Group) runWindowParallel(budget uint64) uint64 {
 	dispatched := 0
 	for i, e := range g.engs {
-		if at, ok := e.NextAt(); ok && at <= g.deads[i] {
-			g.cmds[i] <- windowJob{deadline: g.deads[i], budget: budget}
+		if at, ok := e.NextAt(); ok && at <= g.dead {
+			g.cmds[i] <- windowJob{deadline: g.dead, budget: budget}
 			dispatched++
 		}
 	}

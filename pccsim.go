@@ -160,14 +160,6 @@ func WithShards(n int) Option { return core.WithShards(n) }
 // and the mode to use when reproducing a parallel-run failure.
 func WithDeterministicShards(n int) Option { return core.WithDeterministicShards(n) }
 
-// WithAdaptiveWindows lets a sharded run widen its conservative windows
-// while no cross-shard traffic is in flight, cutting the barrier count
-// of compute-heavy phases without changing any simulated timing: results
-// are identical with or without it, only scheduler overhead drops. A
-// no-op without shards; growth is also suppressed under speculative
-// updates and non-default barrier latencies (see core.Config.AdaptiveWindows).
-func WithAdaptiveWindows() Option { return core.WithAdaptiveWindows() }
-
 // Typed error classes; see the package comment's Errors section.
 var (
 	// ErrUnknownWorkload reports a benchmark name not in Workloads.
