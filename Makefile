@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test simbench-test smoke soak bench bench-smoke compare-smoke check-mcheck fuzz-smoke fuzz clean
+.PHONY: check vet build test simbench-test smoke trace-smoke soak bench bench-smoke compare-smoke check-mcheck fuzz-smoke fuzz clean
 
-check: vet build test simbench-test smoke
+check: vet build test simbench-test smoke trace-smoke
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +23,18 @@ simbench-test:
 smoke:
 	$(GO) run ./cmd/pccbench -exp fig7 -parallel 4 > /dev/null
 	@echo "smoke: pccbench -exp fig7 -parallel 4 OK"
+
+# The observer end to end: `pccsim trace` on two shards must write the
+# same Perfetto JSON under the parallel and the serial shard scheduler,
+# and the plain-text message trace of one line must run clean.
+trace-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/pccsim" ./cmd/pccsim && \
+	"$$tmp/pccsim" trace -workload em3d -shards 2 -out "$$tmp/parallel.json" && \
+	"$$tmp/pccsim" trace -workload em3d -shards 2 -deterministic -out "$$tmp/serial.json" && \
+	cmp "$$tmp/parallel.json" "$$tmp/serial.json" && \
+	"$$tmp/pccsim" -workload em3d -rac 32768 -deledc 32 -updates -trace 64 -trace-line 0x10030580 > /dev/null
+	@echo "trace-smoke: sharded traces identical, line trace OK"
 
 # The `pccsim serve` soak harness: builds the real binary, hammers one
 # server with 8 concurrent clients, and asserts the service contract

@@ -357,10 +357,8 @@ func writeTrace(path, workloadName, protoName string, nodes, scale, iters int) e
 	if err := es.WritePerfetto(f); err != nil {
 		return err
 	}
-	met := es.Metrics()
-	fmt.Fprintf(os.Stderr, "pccbench: trace %s: %d events, %d msgs / %d bytes (stats: %d / %d) -> %s\n",
-		workloadName, es.Total(), met.TotalMessages(), met.TotalBytes(),
-		st.TotalMessages(), st.TotalBytes(), path)
+	fmt.Fprintf(os.Stderr, "pccbench: trace %s: %d events, %d msgs / %d bytes -> %s\n",
+		workloadName, es.Total(), st.TotalMessages(), st.TotalBytes(), path)
 	return f.Close()
 }
 

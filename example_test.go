@@ -136,10 +136,10 @@ func ExampleMachine_Observe() {
 		log.Fatal(err)
 	}
 
-	// The observer's traffic accounting matches the run's Stats exactly:
-	// both count every packet at network injection.
+	// The run's counters are in st; the stream holds one send event per
+	// packet those counters saw, plus the per-line delegation timelines.
 	met := es.Metrics()
-	fmt.Println("bytes match stats:", met.TotalBytes() == st.TotalBytes())
+	fmt.Println("one send per packet:", met.ByKind[pccsim.KindSend] == st.TotalMessages())
 	fmt.Println("complete delegations:", met.CompleteDelegations())
 
 	var buf bytes.Buffer
@@ -148,7 +148,7 @@ func ExampleMachine_Observe() {
 	}
 	fmt.Println("perfetto trace written:", buf.Len() > 0)
 	// Output:
-	// bytes match stats: true
+	// one send per packet: true
 	// complete delegations: 0
 	// perfetto trace written: true
 }

@@ -201,7 +201,7 @@ func (s *System) Now() sim.Time {
 func (s *System) Group() *sim.Group { return s.grp }
 
 // AttachObs points both the hubs and the interconnect at sink. If a sink
-// was already attached and had a Tap (e.g. a trace recorder riding it),
+// was already attached and had a Tap (e.g. a message trace riding it),
 // the old tap is chained onto the new sink so no consumer goes deaf.
 //
 // On a sharded system the hubs and the network emit into per-shard
@@ -210,13 +210,7 @@ func (s *System) Group() *sim.Group { return s.grp }
 // under the serial and parallel schedulers.
 func (s *System) AttachObs(sink *obs.Sink) {
 	if prev := s.Obs; prev != nil && prev.Tap != nil && prev != sink {
-		pt := prev.Tap
-		if sink.Tap == nil {
-			sink.Tap = pt
-		} else {
-			nt := sink.Tap
-			sink.Tap = func(e obs.Event) { nt(e); pt(e) }
-		}
+		sink.OnEvent(prev.Tap)
 	}
 	s.Obs = sink
 	s.Net.Obs = sink

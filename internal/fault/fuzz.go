@@ -10,7 +10,6 @@ import (
 	"pccsim/internal/obs"
 	"pccsim/internal/protocol"
 	"pccsim/internal/sim"
-	"pccsim/internal/stats"
 )
 
 // Machine is the reduced configuration space the fuzzer explores: tiny
@@ -230,24 +229,9 @@ func (c *Case) TraceTail(n int) []string {
 	evs := sink.Events()
 	out := make([]string, len(evs))
 	for i := range evs {
-		out[i] = formatEvent(&evs[i])
+		out[i] = evs[i].String()
 	}
 	return out
-}
-
-// formatEvent renders one observability event for a repro's trace tail.
-func formatEvent(e *obs.Event) string {
-	at := uint64(e.At)
-	switch e.Kind {
-	case obs.KindSend:
-		return fmt.Sprintf("[%8d] send %s %d->%d line %#x (%dB, %d hops)",
-			at, e.Msg.Type, e.Msg.Src, e.Msg.Dst, uint64(e.Addr), e.Bytes, e.Hops)
-	case obs.KindUndelegate:
-		return fmt.Sprintf("[%8d] %s n%d line %#x cause=%s",
-			at, e.Kind, e.Node, uint64(e.Addr), stats.UndelegateReason(e.Arg))
-	default:
-		return fmt.Sprintf("[%8d] %s n%d line %#x", at, e.Kind, e.Node, uint64(e.Addr))
-	}
 }
 
 func (c *Case) run(sink *obs.Sink) (res Result) {

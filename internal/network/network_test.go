@@ -127,7 +127,7 @@ func TestInFlightTracking(t *testing.T) {
 }
 
 func TestObsSinkInvoked(t *testing.T) {
-	eng, n, _ := newNet(t, 4)
+	eng, n, st := newNet(t, 4)
 	n.Register(1, func(m *msg.Message) {})
 	n.Obs = obs.NewSink(16)
 	n.Send(&msg.Message{Type: msg.GetShared, Src: 0, Dst: 1})
@@ -140,8 +140,12 @@ func TestObsSinkInvoked(t *testing.T) {
 		evs[0].Bytes != uint32((&msg.Message{Type: msg.GetShared}).Bytes()) {
 		t.Fatalf("bad send event: %+v", evs)
 	}
-	if n.Obs.M.MsgCount[msg.GetShared] != 1 {
-		t.Fatalf("metrics missed the send: %+v", n.Obs.M.MsgCount)
+	if n.Obs.M.ByKind[obs.KindSend] != 1 {
+		t.Fatalf("metrics missed the send: %+v", n.Obs.M.ByKind)
+	}
+	// The event carries the same route cost the stats counted.
+	if st.HopSum != uint64(evs[0].Hops) || st.TotalBytes() != uint64(evs[0].Bytes) {
+		t.Fatalf("event hops/bytes %d/%d, stats %d/%d", evs[0].Hops, evs[0].Bytes, st.HopSum, st.TotalBytes())
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package obs is the simulator's structured observability layer: a
 // zero-cost-when-off event stream emitted by the interconnect and the
-// protocol handlers, a live metrics registry derived from it, and a
-// Perfetto/Chrome trace_event exporter.
+// protocol handlers, live per-line timelines derived from it, a one-line
+// text rendering of each event, and a Perfetto/Chrome trace_event
+// exporter. The run's counters (traffic, hops, delegations, updates)
+// belong to stats.Stats; this layer records when and where they happened.
 //
 // The design follows the network.Chaos pattern: producers hold a *Sink
 // pointer that is nil by default, so the disabled path costs exactly one
@@ -70,18 +72,18 @@ const (
 )
 
 var kindNames = [...]string{
-	KindSend:            "send",
-	KindMissStart:       "miss-start",
-	KindMissEnd:         "miss-end",
-	KindPCDetect:        "pc-detect",
-	KindDelegate:        "delegate",
-	KindDelegateInstall: "delegate-install",
-	KindUndelegate:      "undelegate",
+	KindSend:             "send",
+	KindMissStart:        "miss-start",
+	KindMissEnd:          "miss-end",
+	KindPCDetect:         "pc-detect",
+	KindDelegate:         "delegate",
+	KindDelegateInstall:  "delegate-install",
+	KindUndelegate:       "undelegate",
 	KindUndelegateCommit: "undelegate-commit",
-	KindIntervention:    "intervention",
-	KindUpdatePush:      "update-push",
-	KindUpdateHit:       "update-hit",
-	KindUpdateWaste:     "update-waste",
+	KindIntervention:     "intervention",
+	KindUpdatePush:       "update-push",
+	KindUpdateHit:        "update-hit",
+	KindUpdateWaste:      "update-waste",
 }
 
 // NumKinds is the number of distinct event kinds.
@@ -125,12 +127,12 @@ type Event struct {
 // before building an event, so a detached sink costs nothing.
 type Sink struct {
 	// M aggregates every emitted event; it is updated live so its
-	// counters and per-line timelines remain exact even after the ring
+	// counts and per-line timelines remain exact even after the ring
 	// has wrapped.
 	M Metrics
 	// Tap, when non-nil, receives every event as it is emitted (after
-	// the ring store). It is how secondary consumers — the trace
-	// recorder, fault-repro capture — ride one sink.
+	// the ring store). It is how secondary consumers — the message
+	// trace, job progress — ride one sink; add one with OnEvent.
 	Tap func(Event)
 
 	ring      []Event
@@ -200,6 +202,17 @@ func (s *Sink) Emit(e Event) {
 	if s.Tap != nil {
 		s.Tap(e)
 	}
+}
+
+// OnEvent chains fn onto the sink's tap: it runs on every event after
+// any previously registered function.
+func (s *Sink) OnEvent(fn func(Event)) {
+	prev := s.Tap
+	if prev == nil {
+		s.Tap = fn
+		return
+	}
+	s.Tap = func(e Event) { prev(e); fn(e) }
 }
 
 // Total reports how many events were emitted (including ones the ring has

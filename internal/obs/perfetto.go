@@ -43,8 +43,9 @@ type traceEvent struct {
 // as a trace_event JSON document. Instant-level detail (message sends,
 // miss spans, MSHR counters) comes from the event ring and covers its
 // retention window; delegation spans come from the live metrics and are
-// complete for the whole run even if the ring wrapped.
-func WritePerfetto(w io.Writer, s *Sink) error {
+// complete for the whole run even if the ring wrapped. st is the run's
+// statistics, which supply the traffic summary in the metadata.
+func WritePerfetto(w io.Writer, s *Sink, st *stats.Stats) error {
 	events := s.Events()
 	m := &s.M
 
@@ -159,8 +160,20 @@ func WritePerfetto(w io.Writer, s *Sink) error {
 		}
 	}
 	// Misses still outstanding at the end of the window render as spans
-	// clamped to the last timestamp.
-	for k, start := range missStart {
+	// clamped to the last timestamp, in (node, addr) order.
+	unresolved := make([]missKey, 0, len(missStart))
+	for k := range missStart {
+		unresolved = append(unresolved, k)
+	}
+	sort.Slice(unresolved, func(i, j int) bool {
+		a, b := unresolved[i], unresolved[j]
+		if a.node != b.node {
+			return a.node < b.node
+		}
+		return a.addr < b.addr
+	})
+	for _, k := range unresolved {
+		start := missStart[k]
 		emit(traceEvent{
 			Name: fmt.Sprintf("miss %#x", uint64(k.addr)),
 			Cat:  "miss", Ph: "X", Ts: uint64(start), Dur: uint64(lastTs - start),
@@ -215,40 +228,33 @@ func WritePerfetto(w io.Writer, s *Sink) error {
 		Metadata    map[string]any `json:"metadata"`
 	}{
 		TraceEvents: out,
-		Metadata:    metadata(m),
+		Metadata:    metadata(m, st),
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }
 
 // metadata summarizes the run's per-class traffic so a trace file is
-// self-describing (and cross-checkable against stats.Stats).
-func metadata(m *Metrics) map[string]any {
+// self-describing.
+func metadata(m *Metrics, st *stats.Stats) map[string]any {
 	count := map[string]uint64{}
 	bytes := map[string]uint64{}
 	for t := 0; t < msg.NumTypes; t++ {
-		if m.MsgCount[t] > 0 {
-			count[msg.Type(t).String()] = m.MsgCount[t]
-			bytes[msg.Type(t).String()] = m.MsgBytes[t]
+		if st.MsgCount[t] > 0 {
+			count[msg.Type(t).String()] = st.MsgCount[t]
+			bytes[msg.Type(t).String()] = st.MsgBytes[t]
 		}
 	}
 	return map[string]any{
 		"events":               m.Events,
 		"msg_count":            count,
 		"msg_bytes":            bytes,
-		"total_messages":       m.TotalMessages(),
-		"total_bytes":          m.TotalBytes(),
-		"avg_hops":             m.AvgHops(),
-		"delegations":          m.Delegations,
+		"total_messages":       st.TotalMessages(),
+		"total_bytes":          st.TotalBytes(),
+		"avg_hops":             st.AvgHops(),
+		"delegations":          st.Delegations,
 		"complete_delegations": m.CompleteDelegations(),
-		"update_accuracy":      m.UpdateAccuracy(),
+		"update_accuracy":      st.UpdateAccuracy(),
 		"mshr_peak":            m.MSHRPeak,
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -197,10 +197,10 @@ func (s *Server) execRun(j *Job, sp *runSpec) error {
 			// sink never feeds back into the simulation, so attaching it
 			// keeps the run bit-identical to an unobserved one.
 			sink := obs.NewSink(0)
-			sink.Tap = func(e obs.Event) {
+			sink.OnEvent(func(e obs.Event) {
 				j.obsEvents.Add(1)
 				j.simTime.Store(uint64(e.At))
-			}
+			})
 			m.Sys.AttachObs(sink)
 		},
 	}

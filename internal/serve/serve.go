@@ -430,10 +430,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace re-runs a finished run job with an unbounded obs sink and
-// exports the protocol event stream as Perfetto/Chrome trace JSON. The
-// re-run's report must byte-match the stored result — the simulator is
-// deterministic, so a mismatch is a server bug worth a 500, not a quiet
-// shrug (the same hard cross-check `pccsim trace` makes).
+// exports the protocol event stream as Perfetto/Chrome trace JSON, with
+// the re-run's stats as the traffic summary. The re-run's report must
+// byte-match the stored result — the simulator is deterministic, so a
+// mismatch is a server bug worth a 500, not a quiet shrug.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r)
 	if j == nil {
@@ -478,7 +478,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", "attachment; filename="+j.ID+"-trace.json")
-	if err := obs.WritePerfetto(w, sink); err != nil {
+	if err := obs.WritePerfetto(w, sink, st); err != nil {
 		s.cfg.Log.Printf("serve: job %s trace write: %v", j.ID, err)
 	}
 }

@@ -61,13 +61,6 @@ var undelReasonNames = [...]string{
 
 func (r UndelegateReason) String() string { return undelReasonNames[r] }
 
-// NumMissClasses and NumUndelegateReasons export the enum sizes for
-// layers that index arrays by them (internal/obs).
-const (
-	NumMissClasses       = int(numMissClasses)
-	NumUndelegateReasons = int(numUndelReasons)
-)
-
 // Stats aggregates every counter for one simulation run. The zero value is
 // ready to use.
 type Stats struct {

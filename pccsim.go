@@ -41,19 +41,22 @@
 // message injected into the fabric (with hop count and wire size), every
 // miss with its MSHR occupancy and outcome class, and the full delegation
 // lifecycle (detect → delegate → install → undelegate with the paper's
-// §2.3.3 cause). The stream aggregates Metrics live — so totals are exact
-// even after the event ring wraps — and exports Chrome/Perfetto trace
-// JSON. With no observer attached the simulator pays one nil pointer
-// check per potential event and allocates nothing; results are identical
-// either way.
+// §2.3.3 cause). The stream keeps per-line delegation timelines and the
+// MSHR peak live — so they are exact even after the event ring wraps —
+// and exports Chrome/Perfetto trace JSON. The run's counters (traffic,
+// hops, delegations, update accuracy) are in the Stats Run returns. With
+// no observer attached the simulator pays one nil pointer check per
+// potential event and allocates nothing; results are identical either
+// way.
 //
 //	es := m.Observe(1 << 16)
 //	st, _ := m.Run(prog)
 //	es.WritePerfetto(file)           // open in ui.perfetto.dev
-//	fmt.Println(es.Metrics().AvgHops())
+//	fmt.Println(st.AvgHops())
 //
-// Machine.Trace remains the plain-text timeline view; it rides the same
-// stream, and both may be attached at once.
+// Machine.Trace is the plain-text view of the same stream: the message
+// sends, optionally of one line, as a timeline and as per-line stories.
+// Trace and Observe may be attached at once, in either order.
 //
 // # Errors
 //
@@ -86,7 +89,6 @@ import (
 	"pccsim/internal/protocol"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
-	"pccsim/internal/trace"
 	"pccsim/internal/workload"
 )
 
@@ -213,10 +215,6 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 	return &Machine{inner: m}, nil
 }
 
-// NewMachine builds a machine from cfg. It is New without options, kept
-// for existing callers.
-func NewMachine(cfg Config) (*Machine, error) { return New(cfg) }
-
 // Event is one structured protocol event; Kind says what happened and
 // which of the fields carry meaning (see the Kind constants).
 type Event = obs.Event
@@ -224,9 +222,9 @@ type Event = obs.Event
 // Kind classifies an Event.
 type Kind = obs.Kind
 
-// Metrics aggregates every event ever emitted to a stream: traffic by
-// message class, hop histogram, miss outcomes, MSHR peak, the delegation
-// ledger and per-line timelines.
+// Metrics aggregates every event ever emitted to a stream: counts by
+// kind, the MSHR peak and the per-line delegation and update timelines.
+// The run's traffic and protocol counters are in Stats.
 type Metrics = obs.Metrics
 
 // Event kinds, re-exported for filtering in EventStream taps.
@@ -249,6 +247,7 @@ const (
 // Machine.Observe.
 type EventStream struct {
 	sink *obs.Sink
+	sys  *core.System
 }
 
 // Events returns the retained event window in emission order.
@@ -265,22 +264,16 @@ func (e *EventStream) Total() uint64 { return e.sink.Total() }
 // OnEvent registers fn to run on every event as it is emitted, after any
 // previously registered function. The callback runs inside the simulation
 // hot path: keep it allocation-light.
-func (e *EventStream) OnEvent(fn func(Event)) {
-	prev := e.sink.Tap
-	if prev == nil {
-		e.sink.Tap = fn
-		return
-	}
-	e.sink.Tap = func(ev Event) { prev(ev); fn(ev) }
-}
+func (e *EventStream) OnEvent(fn func(Event)) { e.sink.OnEvent(fn) }
 
 // WritePerfetto exports the stream as Chrome trace-event JSON, loadable
 // in ui.perfetto.dev or chrome://tracing: one track per node (messages,
 // misses, MSHR occupancy counters) and one per cache line (the
 // delegation lifecycle). Timestamps are simulated cycles written into
-// the microsecond field.
+// the microsecond field; the metadata summarizes the machine's traffic
+// counters.
 func (e *EventStream) WritePerfetto(w io.Writer) error {
-	return obs.WritePerfetto(w, e.sink)
+	return obs.WritePerfetto(w, e.sink, e.sys.Aggregate())
 }
 
 // Observe attaches a structured event stream retaining the most recent
@@ -290,43 +283,49 @@ func (e *EventStream) WritePerfetto(w io.Writer) error {
 func (m *Machine) Observe(capacity int) *EventStream {
 	s := obs.NewSink(capacity)
 	m.inner.Sys.AttachObs(s)
-	return &EventStream{sink: s}
+	return &EventStream{sink: s, sys: m.inner.Sys}
 }
 
 // TraceRecorder captures the machine's coherence-message timeline for
 // debugging; see Machine.Trace.
 type TraceRecorder struct {
-	inner *trace.Recorder
+	sink *obs.Sink
 }
 
-// Dump writes the retained message timeline.
-func (t *TraceRecorder) Dump(w io.Writer) { t.inner.Dump(w) }
+// Dump writes the retained message timeline, one send per line.
+func (t *TraceRecorder) Dump(w io.Writer) {
+	for _, e := range t.sink.Events() {
+		fmt.Fprintln(w, e.String())
+	}
+}
 
 // DumpStories writes per-line lifecycle summaries (message counts,
-// delegation history).
-func (t *TraceRecorder) DumpStories(w io.Writer) { t.inner.DumpStories(w) }
+// delegation history) of the retained messages.
+func (t *TraceRecorder) DumpStories(w io.Writer) { obs.WriteStories(w, t.sink.Events()) }
 
 // Total reports how many messages were recorded.
-func (t *TraceRecorder) Total() uint64 { return t.inner.Total() }
+func (t *TraceRecorder) Total() uint64 { return t.sink.Total() }
 
 // Trace attaches a message recorder keeping the most recent capacity
-// events. line restricts recording to one cache line (0 = all lines).
-// Call before Run. Trace and Observe share the machine's event stream
-// and compose in either order.
+// messages (capacity <= 0 keeps 4096). line restricts recording to one
+// cache line (0 = all lines). Call before Run. Trace and Observe share
+// the machine's event stream and compose in either order.
 func (m *Machine) Trace(capacity int, line Addr) *TraceRecorder {
-	var f *trace.Filter
-	if line != 0 {
-		f = &trace.Filter{Addr: line, Node: -1}
+	if capacity <= 0 {
+		capacity = 4096
 	}
-	// A sharded machine emits into per-shard staging buffers that only
-	// flow once a sink is attached through AttachObs; ensure one exists
-	// so the recorder's tap sees the merged stream instead of silence.
-	if m.inner.Sys.Sharded() && m.inner.Sys.Obs == nil {
-		m.inner.Sys.AttachObs(obs.NewSink(0))
+	rec := obs.NewSink(capacity)
+	src := m.inner.Sys.Obs
+	if src == nil {
+		src = obs.NewSink(0)
+		m.inner.Sys.AttachObs(src)
 	}
-	r := trace.NewRecorder(capacity, f)
-	r.Attach(m.inner.Sys.Net)
-	return &TraceRecorder{inner: r}
+	src.OnEvent(func(e obs.Event) {
+		if e.Kind == obs.KindSend && (line == 0 || e.Addr == line) {
+			rec.Emit(e)
+		}
+	})
+	return &TraceRecorder{sink: rec}
 }
 
 // Run executes the program to completion and returns its statistics.
